@@ -205,7 +205,6 @@ int Run(int argc, char** argv) {
 
   serve::ServerCoreOptions options;
   options.batcher.max_batch = 32;
-  options.batcher.batch_timeout_us = 200;
   options.batcher.max_queue = 1024;  // Sized to the offered load: the
   // harness measures latency under batching, not rejection behavior.
   options.cache_capacity = 256;  // Below the corpus size, so uniform

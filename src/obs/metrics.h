@@ -210,8 +210,8 @@ class MetricRegistry {
   /// deterministic.
   std::string ExportJson() const;
 
-  /// Snapshot of every counter as "name{labels}" → value, for
-  /// since-last-scrape delta views. Deterministic order (std::map).
+  /// Snapshot of every counter as "name{labels}" → value, for callers
+  /// that diff two snapshots. Deterministic order (std::map).
   std::map<std::string, uint64_t> CounterValues() const;
 
   size_t size() const;

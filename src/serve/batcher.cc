@@ -4,7 +4,6 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <utility>
 
@@ -74,17 +73,8 @@ bool IsShuttingDown(const Status& status) {
 }
 
 MicroBatcher::MicroBatcher(const MicroBatcherOptions& options,
-                           BatchFn batch_fn, EmbeddingCache* cache)
-    : options_(options), batch_fn_(std::move(batch_fn)), cache_(cache) {
-  RLL_CHECK_GE(options_.max_batch, 1u);
-  RLL_CHECK_GE(options_.max_queue, 1u);
-  Metrics();  // Resolve instruments before concurrent use.
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-MicroBatcher::MicroBatcher(const MicroBatcherOptions& options,
                            BatchIntoFn batch_fn, EmbeddingCache* cache)
-    : options_(options), batch_into_fn_(std::move(batch_fn)), cache_(cache) {
+    : options_(options), batch_fn_(std::move(batch_fn)), cache_(cache) {
   RLL_CHECK_GE(options_.max_batch, 1u);
   RLL_CHECK_GE(options_.max_queue, 1u);
   Metrics();  // Resolve instruments before concurrent use.
@@ -147,10 +137,6 @@ Result<Matrix> MicroBatcher::Embed(const Matrix& row, int64_t trace_id) {
 void MicroBatcher::Stop() {
   {
     MutexLock lock(mu_);
-    if (stopping_) {
-      // Second caller: fall through to join (idempotence), but the flag
-      // is already set.
-    }
     stopping_ = true;
   }
   cv_.NotifyAll();
@@ -174,18 +160,8 @@ void MicroBatcher::WorkerLoop() {
       MutexLock lock(mu_);
       while (!stopping_ && queue_.empty()) cv_.Wait(mu_);
       if (queue_.empty()) return;  // stopping_ && drained.
-      // First request in hand: linger for stragglers up to the timeout
-      // (skipped when already full or when shutting down — the drain
-      // should be fast, not well-batched).
-      if (options_.batch_timeout_us > 0 && !stopping_ &&
-          queue_.size() < options_.max_batch) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(options_.batch_timeout_us);
-        while (!stopping_ && queue_.size() < options_.max_batch) {
-          if (cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout) break;
-        }
-      }
+      // Take what is already queued, never wait for more: rows that arrive
+      // while this batch runs are the next batch.
       const size_t take = std::min(queue_.size(), options_.max_batch);
       batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {
@@ -223,17 +199,9 @@ void MicroBatcher::RunBatch(std::vector<Pending>& batch) {
   }
 
   Stopwatch timer;
-  Matrix legacy;  // Holds the result only on the copying BatchFn path.
-  const Matrix* embedded_ptr;
-  if (batch_into_fn_) {
-    // Allocation-free path: the batch function writes into (and returns a
-    // reference aliasing) the worker's workspace.
-    embedded_ptr = &batch_into_fn_(stacked, ws_);
-  } else {
-    legacy = batch_fn_(stacked);
-    embedded_ptr = &legacy;
-  }
-  const Matrix& embedded = *embedded_ptr;
+  // The batch function writes into (and returns a reference aliasing) the
+  // worker's workspace.
+  const Matrix& embedded = batch_fn_(stacked, ws_);
   Metrics().batch_embed_ms->Observe(timer.ElapsedMillis());
   Metrics().batch_size->Observe(static_cast<double>(n));
   Metrics().batches->Increment();

@@ -396,23 +396,14 @@ Response ServerCore::HandleAdmin(const Request& request) {
     case RequestType::kMetricsz:
       response.payload_json = MetricszPayload();
       break;
-    case RequestType::kProfilez: {
-      Result<std::string> payload = ProfilezPayload(request);
-      if (!payload.ok()) {
-        // Operator errors (already running, bad hz) come back structured,
-        // like every other protocol failure.
-        const ServeError error = payload.status().code() == StatusCode::kInternal
-                                     ? ServeError::kInternal
-                                     : ServeError::kBadRequest;
-        return MakeErrorResponse(request.id_json, error,
-                                 payload.status().message());
-      }
-      response.payload_json = *std::move(payload);
-      break;
-    }
+    case RequestType::kProfilez:
     case RequestType::kReloadz: {
-      Result<std::string> payload = ReloadzPayload(request);
+      Result<std::string> payload = request.type == RequestType::kProfilez
+                                        ? ProfilezPayload(request)
+                                        : ReloadzPayload(request);
       if (!payload.ok()) {
+        // Operator errors (already running, bad hz, unloadable bundle) come
+        // back structured, like every other protocol failure.
         const ServeError error = payload.status().code() == StatusCode::kInternal
                                      ? ServeError::kInternal
                                      : ServeError::kBadRequest;
@@ -533,9 +524,7 @@ std::string ServerCore::StatuszPayload() const {
     transport = transport_status_ ? transport_status_() : "{}";
   }
   std::string out = "{";
-  out += StrFormat("\"batch_timeout_us\":%lld",
-                   static_cast<long long>(options_.batcher.batch_timeout_us));
-  out += ",\"bundle_source\":\"" + obs::JsonEscape(st->source) + "\"";
+  out += "\"bundle_source\":\"" + obs::JsonEscape(st->source) + "\"";
   out += StrFormat(",\"cache_capacity\":%zu", st->cache->capacity());
   out += StrFormat(",\"cache_size\":%zu", st->cache->size());
   out += StrFormat(",\"corpus_size\":%zu", corpus_size());
@@ -572,7 +561,7 @@ std::string ServerCore::StatuszPayload() const {
   return out;
 }
 
-std::string ServerCore::MetricszPayload() {
+std::string ServerCore::MetricszPayload() const {
   auto& registry = obs::MetricRegistry::Global();
   // Arena gauges are refreshed at scrape time (pull, not push): the
   // memory plane has no natural event to hook, and a scrape-time snapshot
@@ -586,36 +575,7 @@ std::string ServerCore::MetricszPayload() {
       ->Set(static_cast<double>(arenas.bytes_reserved));
   registry.GetGauge("rll_arena_high_water_bytes")
       ->Set(static_cast<double>(arenas.high_water));
-  // Counters are snapshotted once and reused for the delta, so the two
-  // views in one payload never disagree with each other.
-  const std::map<std::string, uint64_t> counters = registry.CounterValues();
   const std::string cumulative = registry.ExportJson();
-
-  double delta_seconds;
-  unsigned long long seq;
-  std::string delta = "{";
-  {
-    MutexLock lock(admin_mu_);
-    delta_seconds = has_scrape_ ? last_scrape_.ElapsedSeconds()
-                                : uptime_.ElapsedSeconds();
-    seq = static_cast<unsigned long long>(++scrape_seq_);
-    bool first = true;
-    for (const auto& [id, value] : counters) {
-      uint64_t previous = 0;
-      if (const auto it = last_counters_.find(id);
-          it != last_counters_.end()) {
-        previous = it->second;
-      }
-      if (!first) delta += ",";
-      first = false;
-      delta += "\"" + obs::JsonEscape(id) +
-               "\":" + std::to_string(value - previous);
-    }
-    last_counters_ = counters;
-    last_scrape_.Restart();
-    has_scrape_ = true;
-  }
-  delta += "}";
 
   std::string windowed = "{\"latency_ms\":{";
   windowed +=
@@ -669,11 +629,8 @@ std::string ServerCore::MetricszPayload() {
   exemplars += "}";
 
   std::string out = "{\"cumulative\":" + cumulative;
-  out += ",\"delta\":" + delta;
-  out += ",\"delta_seconds\":" + obs::JsonNumber(delta_seconds);
   out += ",\"exemplars\":" + exemplars;
   out += StrFormat(",\"schema_version\":%d", obs::kMetricsSchemaVersion);
-  out += StrFormat(",\"scrape_seq\":%llu", seq);
   out += ",\"uptime_s\":" + obs::JsonNumber(uptime_seconds());
   out += ",\"windowed\":" + windowed + "}";
   return out;

@@ -11,6 +11,8 @@
 // Request flow for all three types:
 //   raw features → standardize (bundle statistics) → cache probe →
 //   micro-batched Mlp::Embed → [predict: LR head | neighbors: index query]
+// The batcher runs whatever is queued when its worker wakes and never
+// waits for more, so batching adds no fixed delay to a lone request.
 //
 // Zero-downtime reload (RCU-style generations): the whole serving state is
 // one immutable-once-published ServingState behind a shared_ptr. Reload()
@@ -25,7 +27,9 @@
 // Thread-safe: Handle/HandleLine may be called from any number of
 // transport threads concurrently, including while a reload swaps the
 // generation. Shutdown() drains in-flight work; requests arriving
-// afterwards fail with a structured "shutdown" error.
+// afterwards fail with a structured "shutdown" error. Admin scrapes keep
+// no per-scraper state: metricsz serves cumulative and windowed views
+// only, so any number of scrapers read consistent numbers.
 
 #ifndef RLL_SERVE_SERVER_CORE_H_
 #define RLL_SERVE_SERVER_CORE_H_
@@ -33,7 +37,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -227,7 +230,7 @@ class ServerCore {
   Response HandleAdmin(const Request& request);
   std::string HealthzPayload() const;
   std::string StatuszPayload() const;
-  std::string MetricszPayload();
+  std::string MetricszPayload() const;
   /// profilez start/stop/fetch against the process-wide CPU profiler
   /// (obs/profiler.h). Errors (already running, invalid hz) surface as a
   /// structured response, not a dropped connection.
@@ -261,14 +264,10 @@ class ServerCore {
   /// Indexed by RequestType value; data-plane types only.
   std::unique_ptr<obs::WindowedHistogram> windowed_latency_by_type_[3];
 
-  // Since-last-scrape state for the metricsz delta view, the transport
-  // statusz hook, and the last reload error. Scrapes are rare (seconds
-  // apart), so one mutex here costs nothing on the request path.
+  // The reload handler, the transport statusz hook, and the last reload
+  // error. Admin requests are rare (seconds apart), so one mutex here
+  // costs nothing on the request path.
   mutable Mutex admin_mu_;
-  std::map<std::string, uint64_t> last_counters_ RLL_GUARDED_BY(admin_mu_);
-  Stopwatch last_scrape_ RLL_GUARDED_BY(admin_mu_);
-  uint64_t scrape_seq_ RLL_GUARDED_BY(admin_mu_) = 0;
-  bool has_scrape_ RLL_GUARDED_BY(admin_mu_) = false;
   ReloadRequestFn reload_handler_ RLL_GUARDED_BY(admin_mu_);
   TransportStatusFn transport_status_ RLL_GUARDED_BY(admin_mu_);
   std::string last_reload_error_ RLL_GUARDED_BY(admin_mu_);

@@ -26,6 +26,7 @@
 #include "data/dataset.h"
 #include "data/standardize.h"
 #include "obs/json_util.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
 #include "serve/cache.h"
@@ -169,9 +170,10 @@ TEST(EmbeddingCacheTest, DistinctRowsHashDifferently) {
 
 // ---------------------------------------------------------------- Batcher
 
-// Deterministic stand-in for Mlp::Embed: out[i] = 2*in[i] + column index.
-Matrix DoubleRows(const Matrix& in) {
-  Matrix out(in.rows(), in.cols());
+// Deterministic stand-in for Mlp::EmbedInto: out[i] = 2*in[i] + column
+// index, written into the worker's workspace like the real batch function.
+const Matrix& DoubleRowsInto(const Matrix& in, Workspace& ws) {
+  Matrix& out = ws.GetReshaped("test.doubled", in.rows(), in.cols());
   for (size_t r = 0; r < in.rows(); ++r) {
     for (size_t c = 0; c < in.cols(); ++c) {
       out(r, c) = 2.0 * in(r, c) + static_cast<double>(c);
@@ -180,64 +182,22 @@ Matrix DoubleRows(const Matrix& in) {
   return out;
 }
 
+/// Serial reference: the same function applied to one row on its own.
+Matrix DoubleRows(const Matrix& in) {
+  Workspace ws;
+  return DoubleRowsInto(in, ws);
+}
+
 TEST(MicroBatcherTest, EmbedsSingleRow) {
-  MicroBatcher batcher({}, DoubleRows, nullptr);
+  MicroBatcher batcher({}, DoubleRowsInto, nullptr);
   auto result = batcher.Embed(Row({1.0, 2.0}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(*result == Row({2.0, 5.0}));
 }
 
 TEST(MicroBatcherTest, RejectsNonRowInput) {
-  MicroBatcher batcher({}, DoubleRows, nullptr);
+  MicroBatcher batcher({}, DoubleRowsInto, nullptr);
   EXPECT_FALSE(batcher.Embed(Matrix(2, 3)).ok());
-}
-
-TEST(MicroBatcherTest, BatchedMatchesSerialBitwise) {
-  MicroBatcherOptions options;
-  options.max_batch = 8;
-  options.batch_timeout_us = 2000;  // Encourage coalescing.
-  MicroBatcher batcher(options, DoubleRows, nullptr);
-
-  constexpr size_t kRows = 24;
-  std::vector<Matrix> batched(kRows);
-  std::vector<std::thread> threads;
-  threads.reserve(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    threads.emplace_back([&, i] {
-      auto result = batcher.Embed(Row({static_cast<double>(i), 0.25 * i}));
-      ASSERT_TRUE(result.ok());
-      batched[i] = std::move(*result);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  for (size_t i = 0; i < kRows; ++i) {
-    const Matrix serial = DoubleRows(Row({static_cast<double>(i), 0.25 * i}));
-    EXPECT_TRUE(batched[i] == serial) << "row " << i;
-  }
-  EXPECT_EQ(batcher.rows_batched(), kRows);
-}
-
-TEST(MicroBatcherTest, CoalescesConcurrentRequests) {
-  MicroBatcherOptions options;
-  options.max_batch = 16;
-  options.batch_timeout_us = 5000;
-  MicroBatcher batcher(options, DoubleRows, nullptr);
-
-  constexpr size_t kRows = 32;
-  std::vector<std::thread> threads;
-  threads.reserve(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    threads.emplace_back([&, i] {
-      ASSERT_TRUE(batcher.Embed(Row({static_cast<double>(i)})).ok());
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(batcher.rows_batched(), kRows);
-  // 32 concurrent requests with a 5 ms linger cannot plausibly arrive as
-  // 32 singleton batches; require at least one real coalesce.
-  EXPECT_GT(batcher.max_batch_observed(), 1u);
-  EXPECT_LT(batcher.batches_run(), kRows);
 }
 
 // Gate that lets a test hold the worker inside the batch function.
@@ -264,23 +224,126 @@ struct Gate {
   }
 };
 
-TEST(MicroBatcherTest, BoundedQueueRejectsOverload) {
+/// Spins until `n` requests sit in the batcher's queue, read from the
+/// serve_queue_depth gauge (each test owns the only live batcher).
+void WaitForQueueDepth(size_t n) {
+  const obs::Gauge* depth =
+      obs::MetricRegistry::Global().GetGauge("serve_queue_depth");
+  while (depth->value() != static_cast<double>(n)) std::this_thread::yield();
+}
+
+/// Gated batch function that records every batch's row count.
+struct RecordingBatchFn {
   Gate gate;
+  std::mutex mu;
+  std::vector<size_t> batch_rows;
+
+  MicroBatcher::BatchIntoFn Fn() {
+    return [this](const Matrix& in, Workspace& ws) -> const Matrix& {
+      gate.Pass();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        batch_rows.push_back(in.rows());
+      }
+      return DoubleRowsInto(in, ws);
+    };
+  }
+  std::vector<size_t> Rows() {
+    std::lock_guard<std::mutex> lock(mu);
+    return batch_rows;
+  }
+};
+
+/// Holds the worker inside a one-row first batch, queues `n` more rows
+/// behind it, then opens the gate: everything queued is already waiting
+/// when the worker wakes, so the batches that follow are fully determined
+/// by `n` and max_batch. Returns each queued row's result.
+std::vector<Matrix> RunQueuedBehindGate(MicroBatcher& batcher,
+                                        RecordingBatchFn& fn, size_t n) {
+  std::thread first(
+      [&] { ASSERT_TRUE(batcher.Embed(Row({-1.0, 0.5})).ok()); });
+  fn.gate.WaitUntilEntered(1);
+
+  std::vector<Matrix> results(n);
+  std::vector<std::thread> producers;
+  producers.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    producers.emplace_back([&, i] {
+      auto result =
+          batcher.Embed(Row({static_cast<double>(i) / 3.0, 0.25 * i}));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      results[i] = std::move(*result);
+    });
+  }
+  WaitForQueueDepth(n);
+  fn.gate.Open();
+  first.join();
+  for (std::thread& t : producers) t.join();
+  return results;
+}
+
+void ExpectMatchesSerial(const std::vector<Matrix>& results) {
+  for (size_t i = 0; i < results.size(); ++i) {
+    const Matrix serial =
+        DoubleRows(Row({static_cast<double>(i) / 3.0, 0.25 * i}));
+    EXPECT_TRUE(results[i] == serial) << "row " << i;
+  }
+}
+
+TEST(MicroBatcherTest, BatchedMatchesSerialBitwise) {
+  RecordingBatchFn fn;
+  MicroBatcherOptions options;
+  options.max_batch = 8;
+  MicroBatcher batcher(options, fn.Fn(), nullptr);
+
+  const std::vector<Matrix> results = RunQueuedBehindGate(batcher, fn, 8);
+  // All eight queued rows ran as one full batch, and each result is
+  // bitwise the row embedded on its own.
+  EXPECT_EQ(fn.Rows(), (std::vector<size_t>{1, 8}));
+  ExpectMatchesSerial(results);
+}
+
+TEST(MicroBatcherTest, CoalescesConcurrentRequests) {
+  RecordingBatchFn fn;
+  MicroBatcherOptions options;
+  options.max_batch = 16;
+  MicroBatcher batcher(options, fn.Fn(), nullptr);
+
+  constexpr size_t kQueued = 5;
+  const std::vector<Matrix> results =
+      RunQueuedBehindGate(batcher, fn, kQueued);
+  // A partial batch runs as soon as the worker is free: the five queued
+  // rows form exactly one batch, with no wait for more arrivals.
+  EXPECT_EQ(fn.Rows(), (std::vector<size_t>{1, kQueued}));
+  EXPECT_EQ(batcher.batches_run(), 2u);
+  EXPECT_EQ(batcher.rows_batched(), kQueued + 1);
+  EXPECT_EQ(batcher.max_batch_observed(), kQueued);
+  ExpectMatchesSerial(results);
+}
+
+TEST(MicroBatcherTest, SplitsQueueLongerThanMaxBatch) {
+  RecordingBatchFn fn;
+  MicroBatcherOptions options;
+  options.max_batch = 4;
+  MicroBatcher batcher(options, fn.Fn(), nullptr);
+
+  // 11 queued rows at max_batch 4: ceil(11 / 4) = 3 batches, in order.
+  const std::vector<Matrix> results = RunQueuedBehindGate(batcher, fn, 11);
+  EXPECT_EQ(fn.Rows(), (std::vector<size_t>{1, 4, 4, 3}));
+  EXPECT_EQ(batcher.max_batch_observed(), 4u);
+  ExpectMatchesSerial(results);
+}
+
+TEST(MicroBatcherTest, BoundedQueueRejectsOverload) {
+  RecordingBatchFn fn;
   MicroBatcherOptions options;
   options.max_batch = 1;
-  options.batch_timeout_us = 0;
   options.max_queue = 2;
-  MicroBatcher batcher(
-      options,
-      [&gate](const Matrix& in) {
-        gate.Pass();
-        return DoubleRows(in);
-      },
-      nullptr);
+  MicroBatcher batcher(options, fn.Fn(), nullptr);
 
   // First request occupies the worker inside the gated batch function.
   std::thread first([&] { ASSERT_TRUE(batcher.Embed(Row({0.0})).ok()); });
-  gate.WaitUntilEntered(1);
+  fn.gate.WaitUntilEntered(1);
 
   // With the worker pinned, four producers race for two queue slots:
   // exactly two are admitted (and block) and exactly two bounce with
@@ -300,7 +363,7 @@ TEST(MicroBatcherTest, BoundedQueueRejectsOverload) {
   // Rejections return immediately; admitted producers stay blocked until
   // the gate opens, so this spin terminates iff admission control fired.
   while (batcher.rejected() < 2) std::this_thread::yield();
-  gate.Open();
+  fn.gate.Open();
   first.join();
   for (std::thread& t : producers) t.join();
   EXPECT_EQ(admitted.load(), 2u);
@@ -309,20 +372,13 @@ TEST(MicroBatcherTest, BoundedQueueRejectsOverload) {
 }
 
 TEST(MicroBatcherTest, StopDrainsQueuedRequests) {
-  Gate gate;
+  RecordingBatchFn fn;
   MicroBatcherOptions options;
   options.max_batch = 1;
-  options.batch_timeout_us = 0;
-  MicroBatcher batcher(
-      options,
-      [&gate](const Matrix& in) {
-        gate.Pass();
-        return DoubleRows(in);
-      },
-      nullptr);
+  MicroBatcher batcher(options, fn.Fn(), nullptr);
 
   std::thread first([&] { ASSERT_TRUE(batcher.Embed(Row({0.0})).ok()); });
-  gate.WaitUntilEntered(1);
+  fn.gate.WaitUntilEntered(1);
 
   constexpr size_t kQueued = 6;
   std::vector<std::thread> producers;
@@ -334,10 +390,10 @@ TEST(MicroBatcherTest, StopDrainsQueuedRequests) {
       if (result.ok()) succeeded.fetch_add(1);
     });
   }
-  // Give the producers time to enqueue behind the gated worker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Every producer is queued behind the gated worker before Stop.
+  WaitForQueueDepth(kQueued);
 
-  gate.Open();
+  fn.gate.Open();
   batcher.Stop();  // Must drain everything queued above.
   first.join();
   for (std::thread& t : producers) t.join();
@@ -354,9 +410,9 @@ TEST(MicroBatcherTest, UsesCacheAcrossRequests) {
   std::atomic<uint64_t> calls{0};
   MicroBatcher batcher(
       {},
-      [&calls](const Matrix& in) {
+      [&calls](const Matrix& in, Workspace& ws) -> const Matrix& {
         calls.fetch_add(1);
-        return DoubleRows(in);
+        return DoubleRowsInto(in, ws);
       },
       &cache);
   const Matrix row = Row({4.0, 5.0});
@@ -610,7 +666,6 @@ TEST(ServerCoreTest, CacheHitReturnsIdenticalEmbedding) {
 TEST(ServerCoreTest, ConcurrentBatchedEmbedsMatchDirectBitwise) {
   ServerCoreOptions options;
   options.cache_capacity = 0;  // Force every request through the batcher.
-  options.batcher.batch_timeout_us = 2000;
   auto core = MakeCore(nullptr, options);
 
   constexpr size_t kClients = 16;
@@ -766,7 +821,7 @@ TEST(ServerCoreTest, HealthzAndStatuszRoundTrip) {
   EXPECT_NE(draining.find("draining"), std::string::npos) << draining;
 }
 
-TEST(ServerCoreTest, MetricszReportsWindowedLoadAndDeltas) {
+TEST(ServerCoreTest, MetricszReportsWindowedLoadAcrossScrapes) {
   ServerCoreOptions options;
   options.cache_capacity = 0;  // Every request takes the full batcher path.
   auto core = MakeCore(nullptr, options);
@@ -800,41 +855,37 @@ TEST(ServerCoreTest, MetricszReportsWindowedLoadAndDeltas) {
   EXPECT_GE(embed_latency->Find("p99")->number,
             embed_latency->Find("p50")->number);
 
-  // Cumulative + delta views and scrape bookkeeping.
+  // Two views only: a scrape keeps no per-scraper state, so there is no
+  // since-last-scrape delta to corrupt when several scrapers poll.
   EXPECT_NE(payload->Find("cumulative"), nullptr);
-  EXPECT_GE(payload->Find("delta_seconds")->number, 0.0);
-  const double first_seq = payload->Find("scrape_seq")->number;
+  EXPECT_EQ(payload->Find("delta"), nullptr);
+  EXPECT_EQ(payload->Find("delta_seconds"), nullptr);
+  EXPECT_EQ(payload->Find("scrape_seq"), nullptr);
 
-  // Five more requests between scrapes: the registry is process-global,
-  // but the delta isolates exactly this window's traffic.
+  // Five more requests between scrapes move the windowed counts by exactly
+  // five; the first scrape itself is excluded (admin requests never enter
+  // the windowed views).
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(core->Handle(EmbedRequest({1.0, 2.0, 3.0})).ok);
   }
   auto second =
       ParseJson(core->HandleLine(R"({"id": 2, "type": "metricsz"})"));
   ASSERT_TRUE(second.ok());
-  const JsonValue* delta = second->Find("payload")->Find("delta");
-  ASSERT_NE(delta, nullptr);
-  double embed_delta = 0.0;
-  for (const auto& [key, value] : delta->object) {
-    if (key.find("serve_requests_total") != std::string::npos &&
-        key.find("embed") != std::string::npos) {
-      embed_delta += value.number;
-    }
-  }
-  EXPECT_EQ(embed_delta, 5.0);
-  EXPECT_EQ(second->Find("payload")->Find("scrape_seq")->number,
-            first_seq + 1.0);
-
-  // Admin scrapes are excluded from the windowed request counter.
-  auto third =
-      ParseJson(core->HandleLine(R"({"id": 3, "type": "metricsz"})"));
-  EXPECT_EQ(third->Find("payload")
-                ->Find("windowed")
-                ->Find("requests")
+  const JsonValue* second_windowed =
+      second->Find("payload")->Find("windowed");
+  ASSERT_NE(second_windowed, nullptr);
+  EXPECT_EQ(second_windowed->Find("requests")->Find("count")->number,
+            static_cast<double>(kRequests) + 5.0);
+  EXPECT_EQ(second_windowed->Find("latency_ms")
+                ->Find("embed")
                 ->Find("count")
                 ->number,
             static_cast<double>(kRequests) + 5.0);
+  EXPECT_EQ(second_windowed->Find("latency_ms")
+                ->Find("predict")
+                ->Find("count")
+                ->number,
+            0.0);
   core->Shutdown();
 }
 

@@ -14,7 +14,7 @@
 //   rll_cli embed     --features F.csv --model M --output EMB.csv
 //   rll_cli retrieve  --features F.csv --model M --query ROW [--k K]
 //   rll_cli serve     --model M [--corpus F.csv] [--host H] [--port P]
-//                     [--max-batch N] [--batch-timeout-us U] [--max-queue Q]
+//                     [--max-batch N] [--max-queue Q]
 //                     [--cache-size C] [--k K] [--trace-sample N]
 //   rll_cli top       --port P [--host H] [--interval-ms MS] [--count N]
 //
@@ -126,7 +126,7 @@ int Usage() {
       "  embed     --features F --model M --output EMB\n"
       "  retrieve  --features F --model M --query ROW [--k K]\n"
       "  serve     --model M [--corpus F] [--host H] [--port P]\n"
-      "            [--max-batch N] [--batch-timeout-us U] [--max-queue Q]\n"
+      "            [--max-batch N] [--max-queue Q]\n"
       "            [--cache-size C] [--k K] [--trace-sample N]\n"
       "            [--shards S] [--max-connections N] [--watch-bundle MS]\n"
       "  top       --port P [--host H] [--interval-ms MS] [--count N]\n"
@@ -170,9 +170,9 @@ const std::map<std::string, std::set<std::string>>& CommandFlags() {
       {"embed", {"features", "model", "output"}},
       {"retrieve", {"features", "model", "query", "k"}},
       {"serve",
-       {"model", "corpus", "host", "port", "max-batch", "batch-timeout-us",
-        "max-queue", "cache-size", "k", "trace-sample", "shards",
-        "max-connections", "watch-bundle"}},
+       {"model", "corpus", "host", "port", "max-batch", "max-queue",
+        "cache-size", "k", "trace-sample", "shards", "max-connections",
+        "watch-bundle"}},
       {"top", {"host", "port", "interval-ms", "count"}},
   };
   return flags;
@@ -763,7 +763,6 @@ int RunServe(const Args& args) {
   serve::ServerCoreOptions core_options;
   core_options.batcher.max_batch =
       static_cast<size_t>(args.GetInt("max-batch", 32));
-  core_options.batcher.batch_timeout_us = args.GetInt("batch-timeout-us", 200);
   core_options.batcher.max_queue =
       static_cast<size_t>(args.GetInt("max-queue", 256));
   core_options.cache_capacity =
@@ -821,15 +820,14 @@ int RunServe(const Args& args) {
   std::fflush(stdout);
   std::fprintf(stderr,
                "model=%s corpus=%zu rows predict=%s neighbors=%s "
-               "max-batch=%zu batch-timeout-us=%lld max-queue=%zu "
+               "max-batch=%zu max-queue=%zu "
                "cache-size=%zu trace-sample=%llu shards=%zu "
                "watch-bundle=%lld\n",
                model_path.c_str(), core->corpus_size(),
                core->supports_predict() ? "on" : "off",
                core->supports_neighbors() ? "on" : "off",
-               core_options.batcher.max_batch,
-               static_cast<long long>(core_options.batcher.batch_timeout_us),
-               core_options.batcher.max_queue, core_options.cache_capacity,
+               core_options.batcher.max_batch, core_options.batcher.max_queue,
+               core_options.cache_capacity,
                static_cast<unsigned long long>(
                    core_options.trace_sample_every),
                shards, watch_ms);
@@ -925,7 +923,7 @@ double NumberAt(const serve::JsonValue* root,
   return v != nullptr && v->is_number() ? v->number : fallback;
 }
 
-/// Sums "serve_requests_total{...}" members of a delta/cumulative metrics
+/// Sums "serve_requests_total{...}" members of a cumulative metrics
 /// object; `errors_only` restricts to entries whose status label != ok.
 double SumRequestCounters(const serve::JsonValue* metrics, bool errors_only) {
   if (metrics == nullptr || !metrics->is_object()) return 0.0;
@@ -994,14 +992,6 @@ int RunTop(const Args& args) {
         FindPath(payload, {"cumulative", "metrics"});
 
     const double uptime_s = NumberAt(payload, {"uptime_s"}, 0.0);
-    const double scrape_seq = NumberAt(payload, {"scrape_seq"}, 0.0);
-    const double delta_seconds =
-        NumberAt(payload, {"delta_seconds"}, 0.0);
-    const serve::JsonValue* delta = FindPath(payload, {"delta"});
-    const double delta_requests =
-        SumRequestCounters(delta, /*errors_only=*/false);
-    const double delta_rate =
-        delta_seconds > 0.0 ? delta_requests / delta_seconds : 0.0;
     const double total_requests =
         SumRequestCounters(cumulative, /*errors_only=*/false);
     const double total_errors =
@@ -1032,13 +1022,12 @@ int RunTop(const Args& args) {
         hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
 
     if (tty) std::printf("\x1b[H\x1b[2J");  // Home + clear: refresh in place.
-    std::printf("rll top — %s:%d   scrape %.0f   uptime %.1fs   rtt %.2fms\n",
-                host.c_str(), port, scrape_seq, uptime_s, rtt_ms);
+    std::printf("rll top — %s:%d   scrape %lld   uptime %.1fs   rtt %.2fms\n",
+                host.c_str(), port, static_cast<long long>(scrape + 1),
+                uptime_s, rtt_ms);
     std::printf(
-        "requests   total %.0f   errors %.0f   %.1f/s over %.0fs window   "
-        "%.1f/s since last scrape\n",
-        total_requests, total_errors, window_rate, window_seconds,
-        delta_rate);
+        "requests   total %.0f   errors %.0f   %.1f/s over %.0fs window\n",
+        total_requests, total_errors, window_rate, window_seconds);
     std::printf("latency ms windowed p50 %.3f   p95 %.3f   p99 %.3f\n", p50,
                 p95, p99);
     std::printf(
