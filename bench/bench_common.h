@@ -5,8 +5,11 @@
 #ifndef RLL_BENCH_BENCH_COMMON_H_
 #define RLL_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <functional>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,15 +56,22 @@ inline std::vector<BenchDataset> MakePaperDatasets(
   return out;
 }
 
-/// Parses --seed N, --quick, --threads N, --json PATH, --profile-out PATH
-/// and --profile-hz N from argv. Quick mode shrinks training budgets so a
-/// full table regenerates in seconds (for smoke runs); --threads sizes the
-/// global thread pool (results are identical at any value — see
+/// RunHarness parses --seed N, --quick, --threads N, --json PATH,
+/// --profile-out PATH and --profile-hz N from argv, applies them, and calls
+/// the harness. Quick mode shrinks training budgets so a full table
+/// regenerates in seconds (for smoke runs); --threads sizes the global
+/// thread pool (results are identical at any value — see
 /// common/threading.h); --json writes a machine-readable record of the run
 /// (see BenchReporter) alongside the human-readable table on stdout;
 /// --profile-out arms the sampling CPU profiler for the whole run and
 /// writes collapsed stacks (or the JSON report, for a .json path) at
 /// Finish().
+///
+/// `own_flags` names the value-taking flags a harness parses itself from
+/// argv; they are skipped here. --help prints usage and returns 0; any
+/// other flag, or a flag without its value, prints usage to stderr and
+/// returns 2 without running, so a typo never runs the benchmark under
+/// default settings.
 struct BenchArgs {
   uint64_t seed = kDefaultSeed;
   bool quick = false;
@@ -72,29 +82,51 @@ struct BenchArgs {
   int profile_hz = 99;
 };
 
-inline BenchArgs ParseArgs(int argc, char** argv) {
+inline int RunHarness(int argc, char** argv,
+                      const std::function<int(const BenchArgs&)>& run,
+                      std::initializer_list<const char*> own_flags = {}) {
+  const auto usage = [&](std::FILE* out) {
+    std::fprintf(out,
+                 "usage: %s [--quick] [--seed N] [--threads N] [--json PATH]"
+                 " [--profile-out PATH] [--profile-hz N]",
+                 argv[0]);
+    for (const char* flag : own_flags) std::fprintf(out, " [%s VALUE]", flag);
+    std::fprintf(out, "\n");
+  };
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    const std::string flag = argv[i];
+    if (flag == "--help") {
+      usage(stdout);
+      return 0;
+    }
+    if (flag == "--quick") {
       args.quick = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.seed = static_cast<uint64_t>(std::strtoull(argv[i + 1], nullptr,
-                                                      10));
-      ++i;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      args.threads = static_cast<size_t>(std::strtoull(argv[i + 1], nullptr,
-                                                       10));
-      ++i;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      args.json_path = argv[i + 1];
-      ++i;
-    } else if (std::strcmp(argv[i], "--profile-out") == 0 && i + 1 < argc) {
-      args.profile_path = argv[i + 1];
-      ++i;
-    } else if (std::strcmp(argv[i], "--profile-hz") == 0 && i + 1 < argc) {
-      args.profile_hz = static_cast<int>(std::strtol(argv[i + 1], nullptr,
-                                                     10));
-      ++i;
+      continue;
+    }
+    const bool own = std::find(own_flags.begin(), own_flags.end(), flag) !=
+                     own_flags.end();
+    const bool known = own || flag == "--seed" || flag == "--threads" ||
+                       flag == "--json" || flag == "--profile-out" ||
+                       flag == "--profile-hz";
+    if (!known || i + 1 >= argc) {
+      std::fprintf(stderr, "%s: %s\n", known ? "missing value for flag"
+                                             : "unknown flag",
+                   flag.c_str());
+      usage(stderr);
+      return 2;
+    }
+    const char* value = argv[++i];
+    if (flag == "--seed") {
+      args.seed = static_cast<uint64_t>(std::strtoull(value, nullptr, 10));
+    } else if (flag == "--threads") {
+      args.threads = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+    } else if (flag == "--json") {
+      args.json_path = value;
+    } else if (flag == "--profile-out") {
+      args.profile_path = value;
+    } else if (flag == "--profile-hz") {
+      args.profile_hz = static_cast<int>(std::strtol(value, nullptr, 10));
     }
   }
   if (args.threads > 0) SetGlobalThreads(args.threads);
@@ -110,10 +142,10 @@ inline BenchArgs ParseArgs(int argc, char** argv) {
       args.profile_path.clear();  // Nothing to write at Finish().
     }
   }
-  return args;
+  return run(args);
 }
 
-/// Stops the profiler (if ParseArgs armed it) and writes the profile to
+/// Stops the profiler (if RunHarness armed it) and writes the profile to
 /// `args.profile_path` — collapsed stacks, or the aggregated JSON report
 /// when the path ends in ".json". Returns 0, or 1 on a write failure.
 inline int FinishProfile(const BenchArgs& args) {

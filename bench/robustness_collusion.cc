@@ -85,5 +85,5 @@ int Run(const BenchArgs& args) {
 }  // namespace rll::bench
 
 int main(int argc, char** argv) {
-  return rll::bench::Run(rll::bench::ParseArgs(argc, argv));
+  return rll::bench::RunHarness(argc, argv, rll::bench::Run);
 }

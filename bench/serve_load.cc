@@ -161,10 +161,11 @@ OpenLoopResult RunOpenLoop(serve::ServerCore* core,
   return result;
 }
 
-/// Parses "--offered-qps Q1,Q2,..." out of argv (ParseArgs ignores flags
-/// it does not know). The default sweep straddles saturation; it is the
-/// same list in --quick mode so the recorded metric names stay stable for
-/// the bench gate, only the per-rate request budget shrinks.
+/// Parses "--offered-qps Q1,Q2,..." out of argv (RunHarness skips it as
+/// one of this harness's own flags). The default sweep straddles
+/// saturation; it is the same list in --quick mode so the recorded metric
+/// names stay stable for the bench gate, only the per-rate request budget
+/// shrinks.
 std::vector<double> ParseOfferedQps(int argc, char** argv) {
   std::vector<double> sweep = {4000.0, 16000.0, 64000.0};
   for (int i = 1; i + 1 < argc; ++i) {
@@ -182,10 +183,8 @@ std::vector<double> ParseOfferedQps(int argc, char** argv) {
   return sweep;
 }
 
-int Run(int argc, char** argv) {
-  BenchArgs args = ParseArgs(argc, argv);
+int Run(const BenchArgs& args, const std::vector<double>& offered_qps) {
   BenchReporter reporter("serve_load", args);
-  const std::vector<double> offered_qps = ParseOfferedQps(argc, argv);
 
   // Serving needs a bundle, not a good one: a randomly initialized encoder
   // exercises the identical compute path in a fraction of the setup time.
@@ -361,20 +360,27 @@ int Run(int argc, char** argv) {
   const serve::MicroBatcher& batcher = core->get()->batcher();
   const serve::EmbeddingCache& cache = core->get()->cache();
 
+  // Read once: the open-loop sweep below keeps moving the batcher and
+  // cache counters, and stdout must print what the JSON records.
   const double p50 = latency->Percentile(0.50);
   const double p95 = latency->Percentile(0.95);
   const double p99 = latency->Percentile(0.99);
+  const uint64_t batches = batcher.batches_run();
+  const double mean_batch =
+      batches > 0 ? static_cast<double>(batcher.rows_batched()) /
+                        static_cast<double>(batches)
+                  : 0.0;
+  const uint64_t max_batch = batcher.max_batch_observed();
+  const double batch_histogram_max = batch_size->max();
+  const double hit_rate = cache.HitRate();
+  const uint64_t hits = cache.hits();
+  const uint64_t misses = cache.misses();
   reporter.Record("latency_p50_ms", p50);
   reporter.Record("latency_p95_ms", p95);
   reporter.Record("latency_p99_ms", p99);
-  reporter.Record("cache_hit_rate", cache.HitRate());
-  reporter.Record("mean_batch_size",
-                  batcher.batches_run() > 0
-                      ? static_cast<double>(batcher.rows_batched()) /
-                            static_cast<double>(batcher.batches_run())
-                      : 0.0);
-  reporter.Record("max_batch_observed",
-                  static_cast<double>(batcher.max_batch_observed()));
+  reporter.Record("cache_hit_rate", hit_rate);
+  reporter.Record("mean_batch_size", mean_batch);
+  reporter.Record("max_batch_observed", static_cast<double>(max_batch));
   if (obs::AllocCountingActive() && total_requests > 0) {
     reporter.Record("allocs_per_op",
                     static_cast<double>(closed_loop_allocs) /
@@ -434,17 +440,12 @@ int Run(int argc, char** argv) {
               p95, p99);
   std::printf("  batches %llu, mean size %.2f, max observed %llu "
               "(histogram max %.0f)\n",
-              static_cast<unsigned long long>(batcher.batches_run()),
-              batcher.batches_run() > 0
-                  ? static_cast<double>(batcher.rows_batched()) /
-                        static_cast<double>(batcher.batches_run())
-                  : 0.0,
-              static_cast<unsigned long long>(batcher.max_batch_observed()),
-              batch_size->max());
-  std::printf("  cache hit rate %.3f (%llu hits / %llu misses)\n",
-              cache.HitRate(),
-              static_cast<unsigned long long>(cache.hits()),
-              static_cast<unsigned long long>(cache.misses()));
+              static_cast<unsigned long long>(batches), mean_batch,
+              static_cast<unsigned long long>(max_batch),
+              batch_histogram_max);
+  std::printf("  cache hit rate %.3f (%llu hits / %llu misses)\n", hit_rate,
+              static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(misses));
   std::printf("  batched-vs-direct bitwise mismatches: %zu / %zu\n",
               mismatches, sample);
   for (size_t p = 0; p < offered_qps.size(); ++p) {
@@ -516,4 +517,13 @@ int Run(int argc, char** argv) {
 }  // namespace
 }  // namespace rll::bench
 
-int main(int argc, char** argv) { return rll::bench::Run(argc, argv); }
+int main(int argc, char** argv) {
+  const std::vector<double> offered_qps =
+      rll::bench::ParseOfferedQps(argc, argv);
+  return rll::bench::RunHarness(
+      argc, argv,
+      [&](const rll::bench::BenchArgs& args) {
+        return rll::bench::Run(args, offered_qps);
+      },
+      {"--offered-qps"});
+}

@@ -32,10 +32,10 @@ class Stopwatch {
 
 /// Times a scope and reports the elapsed milliseconds to a callback on
 /// destruction — the glue between Stopwatch and any sink (a metrics
-/// histogram via obs::ObserveMillis, a bench table row, a log line):
+/// histogram, a bench table row, a log line):
 ///
 ///   {
-///     ScopedTimer timer(obs::ObserveMillis(histogram));
+///     ScopedTimer timer([&](double ms) { histogram->Observe(ms); });
 ///     ...work...
 ///   }  // histogram->Observe(elapsed_ms)
 class ScopedTimer {

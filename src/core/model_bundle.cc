@@ -107,57 +107,9 @@ Result<RllModelConfig> ParseHeader(const std::string& line) {
   return config;
 }
 
-/// Shared tail of both load paths: wraps (standardizer stats, config,
-/// parameter values) into a bundle, shape-checking each parameter against
-/// the freshly constructed architecture.
-Result<ModelBundle> AssembleBundle(Matrix mean, Matrix stddev,
-                                   const RllModelConfig& config,
-                                   std::vector<Matrix> params) {
-  if (config.input_dim != mean.cols()) {
-    return Status::InvalidArgument(
-        "standardizer and encoder dimensionality disagree");
-  }
-  return ModelBundle::FromParts(std::move(mean), std::move(stddev), config,
-                                std::move(params));
-}
-
-/// Legacy headerless format: architecture inferred from weight/bias pair
-/// shapes, activations at their RllModelConfig defaults (tanh).
-Result<ModelBundle> LoadLegacy(std::istream* in) {
-  RLL_ASSIGN_OR_RETURN(Matrix mean, ReadMatrix(in));
-  RLL_ASSIGN_OR_RETURN(Matrix stddev, ReadMatrix(in));
-  if (mean.rows() != 1 || !mean.SameShape(stddev)) {
-    return Status::InvalidArgument("malformed standardizer block");
-  }
-
-  std::vector<Matrix> params;
-  for (;;) {
-    Result<Matrix> m = ReadMatrix(in);
-    if (!m.ok()) break;
-    params.push_back(std::move(*m));
-  }
-  if (params.empty() || params.size() % 2 != 0) {
-    return Status::InvalidArgument(
-        "bundle must contain weight/bias parameter pairs");
-  }
-
-  RllModelConfig config;
-  config.input_dim = params[0].rows();
-  config.hidden_dims.clear();
-  for (size_t i = 0; i < params.size(); i += 2) {
-    if (params[i + 1].rows() != 1 ||
-        params[i + 1].cols() != params[i].cols()) {
-      return Status::InvalidArgument("bias shape mismatch in bundle");
-    }
-    if (i > 0 && params[i].rows() != params[i - 2].cols()) {
-      return Status::InvalidArgument("layer shapes do not chain in bundle");
-    }
-    config.hidden_dims.push_back(params[i].cols());
-  }
-  return AssembleBundle(std::move(mean), std::move(stddev), config,
-                        std::move(params));
-}
-
+/// Reads everything after the header: standardizer moments, then the
+/// parameter matrices, each shape-checked against the declared
+/// architecture.
 Result<ModelBundle> LoadV2(std::istream* in, const std::string& header) {
   RLL_ASSIGN_OR_RETURN(RllModelConfig config, ParseHeader(header));
   RLL_ASSIGN_OR_RETURN(Matrix mean, ReadMatrix(in));
@@ -165,14 +117,18 @@ Result<ModelBundle> LoadV2(std::istream* in, const std::string& header) {
   if (mean.rows() != 1 || !mean.SameShape(stddev)) {
     return Status::InvalidArgument("malformed standardizer block");
   }
+  if (config.input_dim != mean.cols()) {
+    return Status::InvalidArgument(
+        "standardizer and encoder dimensionality disagree");
+  }
   std::vector<Matrix> params;
   for (;;) {
     Result<Matrix> m = ReadMatrix(in);
     if (!m.ok()) break;
     params.push_back(std::move(*m));
   }
-  return AssembleBundle(std::move(mean), std::move(stddev), config,
-                        std::move(params));
+  return ModelBundle::FromParts(std::move(mean), std::move(stddev), config,
+                                std::move(params));
 }
 
 }  // namespace
@@ -240,19 +196,11 @@ Status ModelBundle::Save(const std::string& path) const {
 Result<ModelBundle> ModelBundle::Load(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) return Status::IOError("cannot open: " + path);
-  // Peek at the first line: a v2 header starts with the magic; a legacy
-  // file starts directly with a "matrix r c" serialization header.
-  std::string first_line;
-  if (!std::getline(in, first_line)) {
+  std::string header;
+  if (!std::getline(in, header)) {
     return Status::InvalidArgument("empty bundle file: " + path);
   }
-  if (first_line.rfind(kMagic, 0) == 0) {
-    return LoadV2(&in, first_line);
-  }
-  // Legacy: reopen so the matrix reader sees the file from the start.
-  std::ifstream legacy(path);
-  if (!legacy.is_open()) return Status::IOError("cannot open: " + path);
-  return LoadLegacy(&legacy);
+  return LoadV2(&in, header);
 }
 
 Result<Matrix> ModelBundle::Embed(const Matrix& raw_features) const {

@@ -2,18 +2,13 @@
 // encoder in one file, so serving code cannot accidentally pair a model
 // with the wrong preprocessing.
 //
-// Format v2 (current): one header line recording the architecture, then
-// matrices in tensor/serialize text format —
+// Format v2: one header line recording the architecture, then matrices in
+// tensor/serialize text format —
 //   rll-bundle v2 dims=16,64,32 hidden=tanh output=tanh layer_norm=0 embed_dim=32
 //   mean (1×dim), stddev (1×dim), encoder parameters in Parameters() order
 // The header makes the format self-describing: a bundle trained with a
 // non-default activation (or with LayerNorm) round-trips exactly instead
-// of silently loading as tanh.
-//
-// Legacy format (pre-header files, still loadable): mean, stddev, then
-// weight/bias pairs only; the architecture is inferred from the parameter
-// shapes and hidden activations default to tanh (the RllModelConfig
-// default those files were trained with).
+// of silently loading as tanh. A file without the header is rejected.
 
 #ifndef RLL_CORE_MODEL_BUNDLE_H_
 #define RLL_CORE_MODEL_BUNDLE_H_
@@ -44,9 +39,9 @@ class ModelBundle {
   /// Writes the bundle in the v2 headered format.
   Status Save(const std::string& path) const;
 
-  /// Reads a bundle in either format: v2 files reconstruct the encoder
-  /// exactly from the header; legacy headerless files fall back to shape
-  /// inference with tanh activations.
+  /// Reads a v2 bundle, reconstructing the encoder exactly from its
+  /// header. A file that does not start with the header is
+  /// InvalidArgument.
   static Result<ModelBundle> Load(const std::string& path);
 
   /// Standardizes raw features with the stored statistics and embeds them.

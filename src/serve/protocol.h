@@ -32,6 +32,13 @@
 //                                      with "reload".
 // Admin responses carry the JSON document in a "payload" member.
 //
+// The verb set is one table in protocol.cc. Each row gives a verb's wire
+// name, its RequestType, whether it is admin, and which of the six
+// protocol keys (features, k, action, hz, format, path) it accepts. A
+// protocol key the verb does not accept is a bad_request; members outside
+// those six are ignored. Adding a verb is one row there plus one payload
+// builder in ServerCore.
+//
 // Responses (always one line, always carry "ok"):
 //   {"id": 7, "type": "embed",   "ok": true, "embedding": [...]}
 //   {"id": 8, "type": "predict", "ok": true, "score": 0.93, "label": 1}
@@ -68,9 +75,8 @@ enum class RequestType {
 
 const char* RequestTypeName(RequestType type);
 
-/// True for the introspection/control commands (healthz/statusz/metricsz/
-/// profilez/reloadz), which carry no features and bypass the model
-/// entirely.
+/// True for the introspection/control commands, which carry no features
+/// and bypass the model entirely.
 bool IsAdminRequest(RequestType type);
 
 /// profilez sub-commands.

@@ -34,11 +34,36 @@ void RecordRequest(const char* type, const char* status, double millis,
       ->ObserveWithExemplar(millis, trace_id);
 }
 
+/// The data-plane types in the order metricsz lists them.
+constexpr RequestType kDataTypesByName[] = {
+    RequestType::kEmbed, RequestType::kNeighbors, RequestType::kPredict};
+
 /// Data-plane request types index windowed_latency_by_type_.
 size_t TypeIndex(RequestType type) {
   const size_t index = static_cast<size_t>(type);
   RLL_DCHECK_LT(index, 3u);
   return index;
+}
+
+/// Wraps an admin payload builder's result: the payload document, or a
+/// structured error (internal for kInternal, bad_request otherwise).
+Response AdminResponse(const Request& request, Result<std::string> payload) {
+  if (!payload.ok()) {
+    // Operator errors (already running, bad hz, unloadable bundle) come
+    // back structured, like every other protocol failure.
+    const ServeError error = payload.status().code() == StatusCode::kInternal
+                                 ? ServeError::kInternal
+                                 : ServeError::kBadRequest;
+    return MakeErrorResponse(request.id_json, error,
+                             payload.status().message());
+  }
+  Response response;
+  response.id_json = request.id_json;
+  response.ok = true;
+  response.has_type = true;
+  response.type = request.type;
+  response.payload_json = *std::move(payload);
+  return response;
 }
 
 std::string WindowedHistogramJson(
@@ -300,9 +325,31 @@ Response ServerCore::Handle(const Request& request) {
 Response ServerCore::HandleInternal(const Request& request,
                                     const ServingState& st,
                                     int64_t trace_id) {
-  // Admin commands answer even while draining: an operator watching a
-  // shutdown is exactly when introspection must keep working.
-  if (IsAdminRequest(request.type)) return HandleAdmin(request);
+  // The one dispatch on the verb. Admin commands answer even while
+  // draining: an operator watching a shutdown is exactly when
+  // introspection must keep working.
+  switch (request.type) {
+    case RequestType::kEmbed:
+    case RequestType::kPredict:
+    case RequestType::kNeighbors:
+      return HandleData(request, st, trace_id);
+    case RequestType::kHealthz:
+      return AdminResponse(request, HealthzPayload(request));
+    case RequestType::kStatusz:
+      return AdminResponse(request, StatuszPayload(request));
+    case RequestType::kMetricsz:
+      return AdminResponse(request, MetricszPayload(request));
+    case RequestType::kProfilez:
+      return AdminResponse(request, ProfilezPayload(request));
+    case RequestType::kReloadz:
+      return AdminResponse(request, ReloadzPayload(request));
+  }
+  return MakeErrorResponse(request.id_json, ServeError::kInternal,
+                           "unhandled request type");
+}
+
+Response ServerCore::HandleData(const Request& request,
+                                const ServingState& st, int64_t trace_id) {
   if (shutting_down()) {
     return MakeErrorResponse(request.id_json, ServeError::kShutdown,
                              "server is shutting down");
@@ -327,97 +374,40 @@ Response ServerCore::HandleInternal(const Request& request,
   response.id_json = request.id_json;
   response.has_type = true;
   response.type = request.type;
-  switch (request.type) {
-    case RequestType::kEmbed: {
-      response.embedding.assign(
-          embedded->data(), embedded->data() + embedded->size());
-      response.ok = true;
-      return response;
-    }
-    case RequestType::kPredict: {
-      if (!supports_predict()) {
-        return MakeErrorResponse(
-            request.id_json, ServeError::kUnsupported,
-            "predict needs a labeled corpus (start the server with one)");
-      }
-      response.score = st.predictor.PredictProba(*embedded)[0];
-      response.label = response.score >= 0.5 ? 1 : 0;
-      response.ok = true;
-      return response;
-    }
-    case RequestType::kNeighbors: {
-      if (!supports_neighbors()) {
-        return MakeErrorResponse(
-            request.id_json, ServeError::kUnsupported,
-            "neighbors needs a corpus (start the server with one)");
-      }
-      const size_t k = request.k > 0 ? request.k : options_.default_k;
-      const int64_t query_start =
-          trace_id > 0 ? obs::TraceNowMicros() : 0;
-      auto hits = st.index.Query(*embedded, k);
-      if (trace_id > 0) {
-        obs::RecordSpanWithId("serve_index_query", trace_id, query_start);
-      }
-      if (!hits.ok()) {
-        return MakeErrorResponse(request.id_json, ServeError::kInternal,
-                                 hits.status().message());
-      }
-      response.neighbors.reserve(hits->size());
-      for (const core::Neighbor& n : *hits) {
-        response.neighbors.push_back(
-            {n.index, st.corpus_labels[n.index], n.similarity});
-      }
-      response.ok = true;
-      return response;
-    }
-    case RequestType::kHealthz:
-    case RequestType::kStatusz:
-    case RequestType::kMetricsz:
-    case RequestType::kProfilez:
-    case RequestType::kReloadz:
-      break;  // Unreachable: dispatched to HandleAdmin above.
-  }
-  return MakeErrorResponse(request.id_json, ServeError::kInternal,
-                           "unhandled request type");
-}
-
-Response ServerCore::HandleAdmin(const Request& request) {
-  Response response;
-  response.id_json = request.id_json;
-  response.has_type = true;
-  response.type = request.type;
-  switch (request.type) {
-    case RequestType::kHealthz:
-      response.payload_json = HealthzPayload();
-      break;
-    case RequestType::kStatusz:
-      response.payload_json = StatuszPayload();
-      break;
-    case RequestType::kMetricsz:
-      response.payload_json = MetricszPayload();
-      break;
-    case RequestType::kProfilez:
-    case RequestType::kReloadz: {
-      Result<std::string> payload = request.type == RequestType::kProfilez
-                                        ? ProfilezPayload(request)
-                                        : ReloadzPayload(request);
-      if (!payload.ok()) {
-        // Operator errors (already running, bad hz, unloadable bundle) come
-        // back structured, like every other protocol failure.
-        const ServeError error = payload.status().code() == StatusCode::kInternal
-                                     ? ServeError::kInternal
-                                     : ServeError::kBadRequest;
-        return MakeErrorResponse(request.id_json, error,
-                                 payload.status().message());
-      }
-      response.payload_json = *std::move(payload);
-      break;
-    }
-    default:
-      return MakeErrorResponse(request.id_json, ServeError::kInternal,
-                               "non-admin type in HandleAdmin");
-  }
   response.ok = true;
+  if (request.type == RequestType::kPredict) {
+    if (!supports_predict()) {
+      return MakeErrorResponse(
+          request.id_json, ServeError::kUnsupported,
+          "predict needs a labeled corpus (start the server with one)");
+    }
+    response.score = st.predictor.PredictProba(*embedded)[0];
+    response.label = response.score >= 0.5 ? 1 : 0;
+  } else if (request.type == RequestType::kNeighbors) {
+    if (!supports_neighbors()) {
+      return MakeErrorResponse(
+          request.id_json, ServeError::kUnsupported,
+          "neighbors needs a corpus (start the server with one)");
+    }
+    const size_t k = request.k > 0 ? request.k : options_.default_k;
+    const int64_t query_start = trace_id > 0 ? obs::TraceNowMicros() : 0;
+    auto hits = st.index.Query(*embedded, k);
+    if (trace_id > 0) {
+      obs::RecordSpanWithId("serve_index_query", trace_id, query_start);
+    }
+    if (!hits.ok()) {
+      return MakeErrorResponse(request.id_json, ServeError::kInternal,
+                               hits.status().message());
+    }
+    response.neighbors.reserve(hits->size());
+    for (const core::Neighbor& n : *hits) {
+      response.neighbors.push_back(
+          {n.index, st.corpus_labels[n.index], n.similarity});
+    }
+  } else {
+    response.embedding.assign(embedded->data(),
+                              embedded->data() + embedded->size());
+  }
   return response;
 }
 
@@ -509,14 +499,14 @@ Result<std::string> ServerCore::ProfilezPayload(const Request& request) {
   return Status::Internal("unknown profilez action");
 }
 
-std::string ServerCore::HealthzPayload() const {
+Result<std::string> ServerCore::HealthzPayload(const Request&) const {
   return StrFormat(
       "{\"status\":\"%s\",\"uptime_s\":%s}",
       shutting_down() ? "draining" : "serving",
       obs::JsonNumber(uptime_seconds()).c_str());
 }
 
-std::string ServerCore::StatuszPayload() const {
+Result<std::string> ServerCore::StatuszPayload(const Request&) const {
   const std::shared_ptr<ServingState> st = state();
   std::string transport;
   {
@@ -561,7 +551,7 @@ std::string ServerCore::StatuszPayload() const {
   return out;
 }
 
-std::string ServerCore::MetricszPayload() const {
+Result<std::string> ServerCore::MetricszPayload(const Request&) const {
   auto& registry = obs::MetricRegistry::Global();
   // Arena gauges are refreshed at scrape time (pull, not push): the
   // memory plane has no natural event to hook, and a scrape-time snapshot
@@ -580,15 +570,10 @@ std::string ServerCore::MetricszPayload() const {
   std::string windowed = "{\"latency_ms\":{";
   windowed +=
       "\"all\":" + WindowedHistogramJson(windowed_latency_all_->GetSnapshot());
-  windowed += ",\"embed\":" +
-              WindowedHistogramJson(
-                  windowed_latency(RequestType::kEmbed).GetSnapshot());
-  windowed += ",\"neighbors\":" +
-              WindowedHistogramJson(
-                  windowed_latency(RequestType::kNeighbors).GetSnapshot());
-  windowed += ",\"predict\":" +
-              WindowedHistogramJson(
-                  windowed_latency(RequestType::kPredict).GetSnapshot());
+  for (RequestType type : kDataTypesByName) {
+    windowed += StrFormat(",\"%s\":", RequestTypeName(type)) +
+                WindowedHistogramJson(windowed_latency(type).GetSnapshot());
+  }
   const obs::WindowedCounter::Snapshot requests =
       windowed_requests_.GetSnapshot();
   windowed += StrFormat(
@@ -603,15 +588,16 @@ std::string ServerCore::MetricszPayload() const {
   // suspicious p99 here gets a concrete trace_id to pull up.
   std::string exemplars = "{";
   bool first_type = true;
-  for (const char* type : {"embed", "neighbors", "predict"}) {
+  for (RequestType type : kDataTypesByName) {
+    const char* name = RequestTypeName(type);
     obs::Histogram* histogram =
-        registry.GetHistogram("serve_request_latency_ms", {{"type", type}});
+        registry.GetHistogram("serve_request_latency_ms", {{"type", name}});
     const std::vector<double>& bounds = histogram->bucket_bounds();
     const std::vector<obs::HistogramExemplar> buckets =
         histogram->bucket_exemplars();
     if (!first_type) exemplars += ",";
     first_type = false;
-    exemplars += StrFormat("\"%s\":[", type);
+    exemplars += StrFormat("\"%s\":[", name);
     bool first_bucket = true;
     for (size_t i = 0; i < buckets.size(); ++i) {
       if (buckets[i].trace_id == 0) continue;

@@ -227,10 +227,14 @@ class ServerCore {
                           int64_t trace_id);
   Response HandleInternal(const Request& request, const ServingState& st,
                           int64_t trace_id);
-  Response HandleAdmin(const Request& request);
-  std::string HealthzPayload() const;
-  std::string StatuszPayload() const;
-  std::string MetricszPayload() const;
+  /// embed / predict / neighbors against the pinned generation.
+  Response HandleData(const Request& request, const ServingState& st,
+                      int64_t trace_id);
+
+  // Admin payload builders, one per admin verb, all of one shape.
+  Result<std::string> HealthzPayload(const Request& request) const;
+  Result<std::string> StatuszPayload(const Request& request) const;
+  Result<std::string> MetricszPayload(const Request& request) const;
   /// profilez start/stop/fetch against the process-wide CPU profiler
   /// (obs/profiler.h). Errors (already running, invalid hz) surface as a
   /// structured response, not a dropped connection.

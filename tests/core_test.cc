@@ -552,8 +552,8 @@ TEST(ModelBundleTest, EmbedRejectsWrongWidth) {
 }
 
 TEST(ModelBundleTest, V2RoundTripsNonDefaultArchitecture) {
-  // The legacy loader hard-coded tanh; the v2 header must reconstruct a
-  // relu/none LayerNorm encoder exactly.
+  // The v2 header must reconstruct a relu/none LayerNorm encoder exactly,
+  // not fall back to the tanh default.
   Rng rng(54);
   Matrix raw = RandomNormal(12, 5, &rng, 2.0, 1.5);
   data::Standardizer standardizer;
@@ -588,10 +588,10 @@ TEST(ModelBundleTest, V2RoundTripsNonDefaultArchitecture) {
   EXPECT_TRUE(*original == *reloaded);
 }
 
-TEST(ModelBundleTest, LoadsLegacyHeaderlessFormat) {
-  // A legacy file is exactly a v2 file minus its header line (mean,
-  // stddev, weight/bias pairs); it must load via shape inference with the
-  // tanh defaults it was trained with.
+TEST(ModelBundleTest, RejectsLegacyHeaderlessFormat) {
+  // A pre-header file is exactly a v2 file minus its header line (mean,
+  // stddev, weight/bias pairs). Nothing writes it any more, and shape
+  // inference cannot recover the activations, so it must not load.
   Rng rng(55);
   Matrix raw = RandomNormal(10, 4, &rng);
   data::Standardizer standardizer;
@@ -613,14 +613,9 @@ TEST(ModelBundleTest, LoadsLegacyHeaderlessFormat) {
   }
 
   auto loaded = ModelBundle::Load(legacy_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->model().config().hidden_activation,
-            nn::Activation::kTanh);
-  auto original = bundle->Embed(raw);
-  auto restored = loaded->Embed(raw);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(*original == *restored);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
 }
 
 TEST(ModelBundleTest, RejectsMalformedHeaders) {

@@ -493,6 +493,55 @@ TEST(ProtocolTest, SerializesResponses) {
       MakeErrorResponse("\"x\"", ServeError::kOverloaded, "busy");
   EXPECT_EQ(SerializeResponse(error),
             R"({"id":"x","ok":false,"error":"overloaded","message":"busy"})");
+
+  Response embed;
+  embed.ok = true;
+  embed.has_type = true;
+  embed.type = RequestType::kEmbed;
+  embed.embedding = {0.5, -2.0};
+  embed.trace_id = 9;
+  EXPECT_EQ(SerializeResponse(embed),
+            R"({"type":"embed","ok":true,"trace_id":9,"embedding":[0.5,-2]})");
+
+  Response neighbors;
+  neighbors.id_json = "1";
+  neighbors.ok = true;
+  neighbors.has_type = true;
+  neighbors.type = RequestType::kNeighbors;
+  neighbors.neighbors = {{3, 1, 0.5}, {0, 0, -0.25}};
+  EXPECT_EQ(SerializeResponse(neighbors),
+            R"({"id":1,"type":"neighbors","ok":true,"neighbors":[)"
+            R"({"index":3,"label":1,"similarity":0.5},)"
+            R"({"index":0,"label":0,"similarity":-0.25}]})");
+
+  // Every admin verb renders its payload verbatim; empty renders as {}.
+  for (const auto& [type, name] :
+       {std::pair{RequestType::kHealthz, "healthz"},
+        std::pair{RequestType::kStatusz, "statusz"},
+        std::pair{RequestType::kMetricsz, "metricsz"},
+        std::pair{RequestType::kProfilez, "profilez"},
+        std::pair{RequestType::kReloadz, "reloadz"}}) {
+    Response admin;
+    admin.id_json = "2";
+    admin.ok = true;
+    admin.has_type = true;
+    admin.type = type;
+    EXPECT_EQ(SerializeResponse(admin), std::string(R"({"id":2,"type":")") +
+                                            name +
+                                            R"(","ok":true,"payload":{}})");
+    admin.payload_json = R"({"a":[1]})";
+    EXPECT_EQ(SerializeResponse(admin),
+              std::string(R"({"id":2,"type":")") + name +
+                  R"(","ok":true,"payload":{"a":[1]}})");
+  }
+
+  Response typed_error =
+      MakeErrorResponse("", ServeError::kUnsupported, "no \"corpus\"");
+  typed_error.has_type = true;
+  typed_error.type = RequestType::kPredict;
+  EXPECT_EQ(SerializeResponse(typed_error),
+            R"({"type":"predict","ok":false,"error":"unsupported",)"
+            R"("message":"no \"corpus\""})");
 }
 
 TEST(ProtocolTest, EmbeddingSurvivesWireRoundTrip) {
@@ -717,19 +766,98 @@ TEST(ServerCoreTest, CreateValidatesCorpus) {
 // ---------------------------------------------------- admin introspection
 
 TEST(ProtocolTest, ParsesAdminRequestsAndRejectsPayloads) {
+  // The whole verb x key matrix: every verb with each protocol key added
+  // (with a value that is valid for that key), plus the bare verb with no
+  // keys at all. A verb's required key is part of its base request; the
+  // action is chosen so the conditional keys (hz with start, format with
+  // fetch, path with reload) are tested against the verb, not the action.
+  struct Verb {
+    const char* name;
+    RequestType type;
+    bool admin;
+    const char* accepted;  // Keys, besides the base ones, that parse.
+    bool bare_parses;      // {"type": name} alone parses.
+  };
+  const Verb verbs[] = {
+      {"embed", RequestType::kEmbed, false, "features", false},
+      {"predict", RequestType::kPredict, false, "features", false},
+      {"neighbors", RequestType::kNeighbors, false, "features k", false},
+      {"healthz", RequestType::kHealthz, true, "", true},
+      {"statusz", RequestType::kStatusz, true, "", true},
+      {"metricsz", RequestType::kMetricsz, true, "", true},
+      {"profilez", RequestType::kProfilez, true, "action hz format", false},
+      {"reloadz", RequestType::kReloadz, true, "action path", false},
+  };
+  const std::pair<const char*, const char*> keys[] = {
+      {"features", "[1, 2, 3]"}, {"k", "3"},       {"action", "\"stop\""},
+      {"hz", "99"},              {"format", "\"json\""}, {"path", "\"m.rll\""},
+  };
   std::string id;
-  for (const char* type : {"healthz", "statusz", "metricsz"}) {
-    const std::string line =
-        std::string("{\"id\": 1, \"type\": \"") + type + "\"}";
-    auto request = ParseRequest(line, &id);
-    ASSERT_TRUE(request.ok()) << type;
-    EXPECT_TRUE(IsAdminRequest(request->type));
+  for (const Verb& verb : verbs) {
+    const std::string type = std::string("\"type\": \"") + verb.name + "\"";
+    auto bare = ParseRequest("{" + type + "}", &id);
+    EXPECT_EQ(bare.ok(), verb.bare_parses) << verb.name << " bare";
+    if (!bare.ok()) {
+      EXPECT_EQ(bare.status().code(), StatusCode::kInvalidArgument);
+    }
+    const std::string accepted = std::string(" ") + verb.accepted + " ";
+    for (const auto& [key, key_value] : keys) {
+      const std::string name = key;
+      std::string value = key_value;
+      std::string base;
+      if (verb.type == RequestType::kEmbed ||
+          verb.type == RequestType::kPredict ||
+          verb.type == RequestType::kNeighbors) {
+        if (name != "features") base = ", \"features\": [1, 2, 3]";
+      } else if (verb.type == RequestType::kProfilez) {
+        const char* action = name == "hz"       ? "start"
+                             : name == "format" ? "fetch"
+                                                : "stop";
+        if (name != "action") base = StrFormat(", \"action\": \"%s\"", action);
+      } else if (verb.type == RequestType::kReloadz) {
+        const char* action = name == "path" ? "reload" : "status";
+        if (name != "action") base = StrFormat(", \"action\": \"%s\"", action);
+      }
+      if (name == "action" && verb.type == RequestType::kReloadz) {
+        value = "\"status\"";
+      }
+      const std::string line =
+          "{\"id\": 1, " + type + base + ", \"" + name + "\": " + value + "}";
+      auto request = ParseRequest(line, &id);
+      const bool expect_ok = accepted.find(" " + name + " ") !=
+                             std::string::npos;
+      ASSERT_EQ(request.ok(), expect_ok) << line;
+      if (!request.ok()) {
+        EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument)
+            << line;
+        continue;
+      }
+      EXPECT_EQ(request->type, verb.type) << line;
+      EXPECT_EQ(IsAdminRequest(request->type), verb.admin) << line;
+      EXPECT_EQ(request->id_json, "1");
+      EXPECT_EQ(request->features.size(), verb.admin ? 0u : 3u) << line;
+      EXPECT_EQ(request->k, name == "k" ? 3u : 0u) << line;
+      EXPECT_EQ(request->profile_hz, name == "hz" ? 99 : 0) << line;
+      EXPECT_EQ(request->profile_format, name == "format"
+                                             ? ProfileFormat::kJson
+                                             : ProfileFormat::kFolded)
+          << line;
+      EXPECT_EQ(request->reload_path, name == "path" ? "m.rll" : "") << line;
+    }
   }
-  EXPECT_FALSE(IsAdminRequest(RequestType::kEmbed));
-  // Admin requests carry no data-plane payload.
-  EXPECT_FALSE(
-      ParseRequest(R"({"type": "healthz", "features": [1]})", &id).ok());
-  EXPECT_FALSE(ParseRequest(R"({"type": "metricsz", "k": 3})", &id).ok());
+  // Keys outside the protocol's six are ignored by every verb.
+  for (const Verb& verb : verbs) {
+    if (!verb.bare_parses) continue;
+    EXPECT_TRUE(ParseRequest(std::string("{\"type\": \"") + verb.name +
+                                 "\", \"extra\": [1], \"K\": 2}",
+                             &id)
+                    .ok())
+        << verb.name;
+  }
+  EXPECT_TRUE(ParseRequest(
+                  R"({"type": "embed", "features": [1], "hz2": 1, "x": {}})",
+                  &id)
+                  .ok());
 }
 
 TEST(ProtocolTest, ParsesProfilezStrictly) {
